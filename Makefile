@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint foxvet foxvet-json foxvet-baseline statemachine-dot sessiontype-dot copyflow-dot bench chaos audit telemetry fmt
+.PHONY: build test check lint foxvet foxvet-json foxvet-baseline statemachine-dot sessiontype-dot copyflow-dot bench chaos audit telemetry sloc fmt
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,11 @@ telemetry:
 	$(GO) run ./cmd/foxbench -telemetry -bytes 200000 | tee /dev/stderr | grep -q "identical off/on"
 	$(GO) run ./cmd/foxstat -scrape metrics.txt
 	grep -q "^fox_action_latency_ns" metrics.txt
+
+# sloc prints the count of non-test Go source lines outside testdata/
+# and the perfbench module, so each change can report its net delta.
+sloc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './perfbench/*' | xargs cat | wc -l
 
 fmt:
 	gofmt -w .

@@ -13,13 +13,13 @@
 // executor's enqueue/run/perform, which the traversal treats as a
 // boundary and does not look inside.
 //
-// The flight-recorder hooks face the inverse rule: functions declared
-// in record.go journal what crosses the executor's door, so they must
-// observe only — never call the boundary, never enter the synchronous
-// modules. A hook that enqueued would make a recorded run diverge from
-// the same run unrecorded, which is exactly what cmd/foxreplay's
-// replay-and-diff would then catch dynamically; this pass catches it
-// structurally.
+// The observer hooks face the inverse rule: functions declared in
+// observe.go journal and measure what crosses the executor's door, so
+// they must observe only — never call the boundary, never enter the
+// synchronous modules. A hook that enqueued would make an observed run
+// diverge from the same run unobserved, which is exactly what
+// cmd/foxreplay's replay-and-diff would then catch dynamically; this
+// pass catches it structurally.
 //
 // The traversal runs on the module-wide callgraph shared with the
 // statemachine and noblock passes (built once per driver run): direct
@@ -43,7 +43,7 @@ import (
 // Analyzer is the quasisync pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "quasisync",
-	Doc:  "async entry points (timer callbacks, wire delivery) may only enqueue tcp_actions, never call Receive/Send/Resend directly; flight-recorder hooks (record.go) observe only and never enqueue",
+	Doc:  "async entry points (timer callbacks, wire delivery) may only enqueue tcp_actions, never call Receive/Send/Resend directly; observer hooks (observe.go: flight recorder, telemetry) observe only and never enqueue",
 	Run:  run,
 }
 
@@ -64,19 +64,15 @@ var boundary = map[string]bool{
 	"perform": true,
 }
 
-// observerFiles hold the flight-recorder hooks: functions declared
-// there watch the executor's single door — they journal what crosses it
-// — and so face the inverse constraint. An observer must never drive
-// the machine it is recording: no enqueue/run/perform, and no calls
-// into the protected synchronous modules. A hook that enqueued would
-// make a recorded run diverge from the same run unrecorded.
+// observerFiles hold the observer hooks: functions declared there watch
+// the executor's single door — the flight recorder journals what
+// crosses it, the telemetry plane times it — and so face the inverse
+// constraint. An observer must never drive the machine it is watching:
+// no enqueue/run/perform, and no calls into the protected synchronous
+// modules. A hook that enqueued would make an observed run diverge from
+// the same run unobserved.
 var observerFiles = map[string]bool{
-	"record.go": true,
-	// The telemetry hooks are the recorder's sibling at the same door:
-	// they read the TCB and mutate histogram/series/profile atomics, and
-	// the same rule keeps a telemetered run bit-identical to an
-	// unobserved one.
-	"telemetry.go": true,
+	"observe.go": true,
 }
 
 // observerPackages extend the observer rule from single files to whole
@@ -90,7 +86,7 @@ var observerFiles = map[string]bool{
 // sanctioned control API and journals what it did, but must never
 // mutate a TCB except through packets the stack receives normally.
 // The telemetry plane (internal/telemetry) holds the histograms, series
-// rings, and profiler the telemetry.go hooks write into; it is pure
+// rings, and profiler the observe.go hooks write into; it is pure
 // data-structure code, and making the whole package an observer proves
 // no helper buried in it can reach back into the machine it measures.
 var observerPackages = map[string]bool{
@@ -199,7 +195,7 @@ func checkObserver(pass *analysis.Pass, g *callgraph.Graph, root *callgraph.Node
 			if !reported[site.Pos()] {
 				reported[site.Pos()] = true
 				pass.Reportf(site.Pos(),
-					"%s is a journal observer (%s) and calls %s — the flight recorder observes the executor, it must never drive it",
+					"%s is a journal observer (%s) and calls %s — observers watch the executor, they must never drive it",
 					from.Name(), where, callee.Name())
 			}
 			return false

@@ -1,6 +1,6 @@
 // Package flightseal exercises the analyzer's observer-package rule: it
 // stands for internal/flight/seal, where EVERY function — not just
-// those in record.go — is a journal observer. None may reach the
+// those in observe.go — is a journal observer. None may reach the
 // executor's door (enqueue/run/perform) or a synchronous module.
 package flightseal
 

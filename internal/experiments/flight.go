@@ -75,9 +75,10 @@ type FlightOverheadResult struct {
 
 // FlightOverhead measures the recorder's cost on the bulk transfer:
 // Trials runs with the recorder off, Trials with both hosts recording,
-// best real time of each. With the recorder off every hook site reduces
-// to a single nil check, so Off also stands in for the pre-recorder
-// stack when comparing against older baselines.
+// best real time of each. With the recorder off the executor's door
+// tests one flag and every other hook site one nil check, so Off also
+// stands in for the pre-recorder stack when comparing against older
+// baselines.
 func FlightOverhead(o Options) FlightOverheadResult {
 	o.fill()
 	o.NoCharge = true // wire-limited: virtual results must match off/on
@@ -161,7 +162,7 @@ func FlightOverhead(o Options) FlightOverheadResult {
 			time.Duration(res.On.Elapsed), res.On.SegsSent,
 			time.Duration(res.Sealed.Elapsed), res.Sealed.SegsSent)
 	}
-	fmt.Fprintf(&b, "  wall-clock cost of recording: %+.1f%%; sealing: %+.1f%%; disabled hook: one nil check per site\n",
+	fmt.Fprintf(&b, "  wall-clock cost of recording: %+.1f%%; sealing: %+.1f%%; disabled: one flag test per door crossing\n",
 		res.OverheadPct, res.SealedPct)
 	res.Text = b.String()
 	return res

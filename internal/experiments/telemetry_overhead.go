@@ -33,8 +33,9 @@ type TelemetryOverheadResult struct {
 
 // TelemetryOverhead measures the plane's cost on the bulk transfer:
 // Trials runs unobserved, Trials with both hosts telemetered, best real
-// time of each. With telemetry off every hook site reduces to a single
-// nil check, so Off also stands in for the pre-telemetry stack.
+// time of each. With telemetry off the executor's door tests one flag
+// and every other hook site one nil check, so Off also stands in for the
+// pre-telemetry stack.
 func TelemetryOverhead(o Options) TelemetryOverheadResult {
 	o.fill()
 	o.NoCharge = true // wire-limited: virtual results must match off/on
@@ -95,7 +96,7 @@ func TelemetryOverhead(o Options) TelemetryOverheadResult {
 			time.Duration(res.Off.Elapsed), res.Off.SegsSent,
 			time.Duration(res.On.Elapsed), res.On.SegsSent)
 	}
-	fmt.Fprintf(&b, "  wall-clock cost of telemetry: %+.1f%%; disabled hook: one nil check per site\n",
+	fmt.Fprintf(&b, "  wall-clock cost of telemetry: %+.1f%%; disabled: one flag test per door crossing\n",
 		res.OverheadPct)
 	if tl := res.Planes[0]; tl != nil {
 		a := tl.Action.Snapshot()

@@ -16,7 +16,8 @@
 // greppable and jq-able.
 //
 // The Recorder follows the Tracer/EventRing discipline: every hook site
-// in the hot path is a single nil check, and the enabled path encodes
+// in the hot path is a single nil check (at the executor's door, one
+// flag shared with the telemetry plane), and the enabled path encodes
 // into preallocated buffers it owns — no allocation per record once the
 // buffers have grown to the working-set size.
 package flight

@@ -11,7 +11,7 @@
 // The seal layer is pure observation: it hashes and frames what the
 // Recorder already emitted and never reaches back into the executor.
 // The quasisync analyzer machine-checks that property for this package,
-// exactly as it does for the record.go observer hooks.
+// exactly as it does for the observe.go hooks in internal/tcp.
 package seal
 
 import (

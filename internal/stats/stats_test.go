@@ -50,38 +50,6 @@ func TestGaugeHighWater(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	var h Histogram
-	h.Observe(0)   // bucket 0
-	h.Observe(1)   // bucket 1
-	h.Observe(2)   // bucket 2
-	h.Observe(3)   // bucket 2
-	h.Observe(100) // bucket 7 (64..127)
-	if h.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", h.Count())
-	}
-	if h.Sum() != 106 {
-		t.Fatalf("Sum = %d, want 106", h.Sum())
-	}
-	if got := h.Bucket(2); got != 2 {
-		t.Fatalf("Bucket(2) = %d, want 2", got)
-	}
-	if got := h.Bucket(7); got != 1 {
-		t.Fatalf("Bucket(7) = %d, want 1", got)
-	}
-	if want := 106.0 / 5; h.Mean() != want {
-		t.Fatalf("Mean = %v, want %v", h.Mean(), want)
-	}
-	if BucketBound(3) != 7 {
-		t.Fatalf("BucketBound(3) = %d, want 7", BucketBound(3))
-	}
-	var nilh *Histogram
-	nilh.Observe(9)
-	if nilh.Count() != 0 || nilh.Mean() != 0 {
-		t.Fatal("nil histogram not inert")
-	}
-}
-
 // TestAtomicUnderRace hammers the atomic metric types from many
 // goroutines at once while snapshots are taken concurrently. Run under
 // `go test -race` (the Makefile `check` target does) this proves the
@@ -104,7 +72,6 @@ func TestAtomicUnderRace(t *testing.T) {
 				mib.OutSegs.Add(2)
 				mib.CurrEstab.Inc()
 				mib.CurrEstab.Dec()
-				mib.RttUsec.Observe(uint64(i))
 			}
 		}()
 	}
@@ -130,9 +97,6 @@ func TestAtomicUnderRace(t *testing.T) {
 	}
 	if hw, _ := snap.Get("tcp.CurrEstabHigh"); hw < 1 {
 		t.Fatalf("tcp.CurrEstabHigh = %v, want >= 1", hw)
-	}
-	if v, _ := snap.Get("tcp.RttUsecCount"); v != workers*iters {
-		t.Fatalf("tcp.RttUsecCount = %v, want %d", v, workers*iters)
 	}
 }
 
@@ -256,13 +220,6 @@ func BenchmarkNilCounterInc(b *testing.B) {
 	var c *Counter
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-	}
-}
-
-func BenchmarkHistogramObserve(b *testing.B) {
-	var h Histogram
-	for i := 0; i < b.N; i++ {
-		h.Observe(uint64(i))
 	}
 }
 

@@ -143,11 +143,9 @@ func (c *Conn) emit(sg *segment, pkt *basis.Packet) {
 		c.clearAckDebt()
 	}
 	if sg.has(flagRST) {
-		c.t.stats.RSTSent++
 		c.t.cfg.Metrics.OutRsts.Inc()
 		c.event(stats.EvRST, "sent")
 	}
-	c.t.stats.SegsSent++
 	// RFC 2012 splits output: OutSegs excludes retransmissions, which
 	// RetransSegs counts instead. A segment re-emitted from the
 	// retransmission queue has rexmits > 0.

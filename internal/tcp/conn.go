@@ -1,9 +1,6 @@
 package tcp
 
 import (
-	"time"
-
-	"repro/internal/basis"
 	"repro/internal/profile"
 	"repro/internal/protocol"
 	"repro/internal/sim"
@@ -41,15 +38,8 @@ type Conn struct {
 	// Pull-model receive state (read.go); used when Handler.Data is nil.
 	recv recvState
 
-	// recSeqs pairs journaled enqueues with their drains: the flight
-	// recorder pushes each enq record's seq here, and the executor pops
-	// it at perform time (FIFO order matches the to_do queue exactly).
-	recSeqs basis.FIFO[uint64]
-
-	// telTimes pairs telemetry-stamped enqueues with their drains the
-	// same way (telemetry.go); telSeries is this connection's sample
-	// ring, nil when telemetry is off or its slots ran out.
-	telTimes  basis.FIFO[int64]
+	// telSeries is this connection's telemetry sample ring, nil when
+	// telemetry is off or its slots ran out.
 	telSeries *telemetry.Series
 
 	openDone  bool
@@ -214,15 +204,13 @@ func (c *Conn) enqueue(a action) {
 		c.perform(a)
 		return
 	}
-	c.tcb.toDo.Enqueue(a)
+	e := toDoEntry{a: a}
+	if c.t.observed {
+		e = c.obsEnqueue(a)
+	}
+	c.tcb.toDo.Enqueue(e)
 	if n := c.tcb.toDo.Len(); n > c.tcb.toDoHW {
 		c.tcb.toDoHW = n
-	}
-	if fr := c.t.cfg.Flight; fr != nil {
-		c.recEnqueue(fr, a)
-	}
-	if c.t.cfg.Telemetry != nil {
-		c.telEnqueue()
 	}
 }
 
@@ -234,44 +222,25 @@ func (c *Conn) run() {
 	}
 	c.executing = true
 	for {
-		a, ok := c.tcb.toDo.Dequeue()
+		e, ok := c.tcb.toDo.Dequeue()
 		if !ok {
 			break
 		}
 		if c.t.cfg.Trace.On() {
-			c.t.cfg.Trace.Printf("conn %v: %s (queue %d)", c.key, a.actionName(), c.tcb.toDo.Len())
+			c.t.cfg.Trace.Printf("conn %v: %s (queue %d)", c.key, e.a.actionName(), c.tcb.toDo.Len())
 		}
-		fr := c.t.cfg.Flight
-		tl := c.t.cfg.Telemetry
-		if fr == nil && tl == nil {
-			c.perform(a)
+		if !c.t.observed {
+			c.perform(e.a)
 			continue
 		}
-		// Journal the drain: beg record, TCB snapshot, the action itself
-		// (whose own enqueues are attributed to it), then the
-		// changed-field delta — the paper's test-by-TCB-comparison
-		// discipline applied to every single action. Telemetry brackets
-		// the same span: the enqueue→perform gap before, the action's
-		// virtual/wall attribution and a due sample after.
-		var eq uint64
-		var pre tcbSnap
-		if fr != nil {
-			eq = c.recBeg(fr)
-			pre = c.snapTCB()
-		}
-		var vstart int64
-		var wstart time.Time
-		if tl != nil {
-			vstart, wstart = c.telBeg(tl)
-		}
-		c.perform(a)
-		if fr != nil {
-			post := c.snapTCB()
-			c.recEnd(fr, eq, &pre, &post)
-		}
-		if tl != nil {
-			c.telEnd(tl, telKind(a), vstart, wstart)
-		}
+		// The observers (observe.go) bracket the action: the flight
+		// journal's beg record, TCB snapshot and changed-field delta,
+		// and telemetry's enqueue→perform wait, per-action cost and due
+		// sample.
+		var sp obsSpan
+		c.obsBeg(&e, &sp)
+		c.perform(e.a)
+		c.obsEnd(&e, &sp)
 	}
 	c.executing = false
 }

@@ -5,11 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/arp"
 	"repro/internal/basis"
 	"repro/internal/ethernet"
 	"repro/internal/ip"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/tcp"
 	"repro/internal/wire"
 )
@@ -354,6 +356,29 @@ func TestUnknownSegmentGetsRST(t *testing.T) {
 		}
 		if b.TCP.Stats().RSTSent == 0 {
 			t.Fatal("no RST from the closed port")
+		}
+	})
+}
+
+// TestListenerStrayAckRSTCounted: a bare ACK to a listening port is
+// answered with a reset from the Listen state (RFC 793 p. 65), sent
+// outside any connection's sequence machinery. Stats and the RFC 2012
+// group must agree on it: RSTSent reads the one OutRsts counter.
+func TestListenerStrayAckRSTCounted(t *testing.T) {
+	mib := new(stats.TCPMIB)
+	s := sim.New(sim.Config{})
+	s.Run(func() {
+		seg := wire.NewSegment(s, wire.Config{}, nil)
+		a, b := buildRecordedPair(s, seg, tcp.Config{}, tcp.Config{Metrics: mib})
+		b.TCP.Listen(80, func(c *tcp.Conn) tcp.Handler { return tcp.Handler{} })
+		adv := adversary.New(s, a.IP.Network(ip.ProtoTCP), 1)
+		adv.Send(b.A, adversary.Seg{SrcPort: 4000, DstPort: 80, Seq: 1000, Ack: 5000, Flags: adversary.ACK, Wnd: 4096})
+		s.Sleep(time.Second)
+		if adv.Stats.Received != 1 {
+			t.Fatalf("attacker received %d segments, want the one RST", adv.Stats.Received)
+		}
+		if got, mibRsts := b.TCP.Stats().RSTSent, mib.OutRsts.Load(); got != 1 || mibRsts != 1 {
+			t.Fatalf("Stats().RSTSent = %d, MIB OutRsts = %d; want 1 and 1", got, mibRsts)
 		}
 	})
 }

@@ -1,18 +1,29 @@
 package tcp
 
-// Flight-recorder glue: the observation half of internal/flight. Every
-// function in this file only *observes* — it reads the TCB and emits
-// journal records, and never calls enqueue/run/perform or the protected
-// Receive/Send/Resend modules. The quasisync analyzer machine-checks
-// that property for this file; the hook sites themselves live with the
-// executor in conn.go and the demux in tcp.go.
+// Observer glue: the tcp side of the flight recorder (internal/flight)
+// and the telemetry plane (internal/telemetry). Every function in this
+// file only *observes* — it reads the TCB, emits journal records, and
+// mutates telemetry atomics — and never calls enqueue/run/perform or
+// the protected Receive/Send/Resend modules, never charges virtual
+// time, and never arms a timer. That is what keeps an observed run
+// bit-identical to the same run unobserved: the quasisync analyzer
+// machine-checks the structural half for this file, and the replay and
+// telemetry-overhead runs check the dynamic half.
+//
+// Both planes watch the executor's single door through one pair of
+// hooks. obsEnqueue stamps each to_do entry once, with its journal seq
+// and enqueue time; obsBeg and obsEnd bracket its drain. The executor
+// in conn.go calls them behind one flag, TCP.observed, so an endpoint
+// with both planes off pays one branch per door crossing.
 
 import (
 	"encoding/json"
 	"strconv"
+	"time"
 
 	"repro/internal/flight"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // recordedConfig is the journal form of the resolved Config: everything
@@ -170,36 +181,68 @@ func (c *Conn) recUop(op string, n int) {
 	}
 }
 
-// recEnqueue journals one action entering the to_do queue and remembers
-// its sequence number so the drain can pair beg/end records to it.
+// obsEnqueue stamps an action entering the to_do queue: its enqueue
+// virtual time for telemetry's wait histogram and, when journaling, the
+// seq of its enq record, which the drain's beg/end records name.
 //
 //foxvet:hotpath
-func (c *Conn) recEnqueue(fr *flight.Recorder, a action) {
-	c.t.recArgs = appendActionArgs(c.t.recArgs[:0], a)
-	q := fr.Enqueue(int64(c.t.s.Now()), c.name, a.actionName(), c.t.recArgs)
-	c.recSeqs.Enqueue(q)
+func (c *Conn) obsEnqueue(a action) toDoEntry {
+	e := toDoEntry{a: a, enqAt: int64(c.t.s.Now())}
+	if fr := c.t.cfg.Flight; fr != nil {
+		c.t.recArgs = appendActionArgs(c.t.recArgs[:0], a)
+		e.seq = fr.Enqueue(e.enqAt, c.name, a.actionName(), c.t.recArgs)
+	}
+	return e
 }
 
-// recBeg journals the executor starting an action, snapshots the TCB,
-// and pushes the action as the current cause. Returns the action's
-// enqueue-record seq for recEnd.
-//
-//foxvet:hotpath
-func (c *Conn) recBeg(fr *flight.Recorder) uint64 {
-	eq, _ := c.recSeqs.Dequeue()
-	fr.Beg(int64(c.t.s.Now()), c.name, eq)
-	fr.BeginAct(eq)
-	return eq
+// obsSpan carries one observed drain's pre-perform state from obsBeg to
+// obsEnd.
+type obsSpan struct {
+	pre    tcbSnap   // TCB before the action (flight)
+	vstart int64     // virtual time the action started (telemetry)
+	wstart time.Time // wall time the action started (telemetry)
 }
 
-// recEnd journals the action's completion with the changed-field TCB
-// delta and pops the action cause.
+// obsBeg observes the executor starting an action. The flight recorder
+// journals the beg record, pushes the action as the cause of its own
+// enqueues, and snapshots the TCB; telemetry records the
+// enqueue→perform wait and starts the action's cost clocks.
 //
 //foxvet:hotpath
-func (c *Conn) recEnd(fr *flight.Recorder, eq uint64, pre, post *tcbSnap) {
-	fr.EndCause()
-	c.t.recDelta = appendSnapDelta(c.t.recDelta[:0], pre, post)
-	fr.End(c.name, eq, c.t.recDelta)
+func (c *Conn) obsBeg(e *toDoEntry, sp *obsSpan) {
+	now := int64(c.t.s.Now())
+	if fr := c.t.cfg.Flight; fr != nil {
+		fr.Beg(now, c.name, e.seq)
+		fr.BeginAct(e.seq)
+		sp.pre = c.snapTCB()
+	}
+	if tl := c.t.cfg.Telemetry; tl != nil {
+		tl.Action.Observe(uint64(now - e.enqAt))
+		sp.vstart, sp.wstart = now, time.Now()
+	}
+}
+
+// obsEnd observes the action's completion. The flight recorder pops the
+// action cause and journals the changed-field TCB delta — the paper's
+// test-by-TCB-comparison discipline applied to every action; telemetry
+// attributes the action's virtual and wall time and takes a due
+// time-series sample. The sampler is driven from virtual time by
+// piggybacking on executor activity: no timer is ever armed for
+// telemetry, so an observed run's schedule is the unobserved one.
+//
+//foxvet:hotpath
+func (c *Conn) obsEnd(e *toDoEntry, sp *obsSpan) {
+	if fr := c.t.cfg.Flight; fr != nil {
+		fr.EndCause()
+		post := c.snapTCB()
+		c.t.recDelta = appendSnapDelta(c.t.recDelta[:0], &sp.pre, &post)
+		fr.End(c.name, e.seq, c.t.recDelta)
+	}
+	if tl := c.t.cfg.Telemetry; tl != nil {
+		now := int64(c.t.s.Now())
+		tl.Prof.Record(telKind(e.a), now-sp.vstart, time.Since(sp.wstart).Nanoseconds())
+		c.telSample(tl, now)
+	}
 }
 
 // tcbSnap is the journaled projection of a TCB: the fields whose
@@ -295,4 +338,90 @@ func appendSegArgs(dst []byte, sg *segment) []byte {
 	dst = append(dst, " len="...)
 	dst = strconv.AppendInt(dst, int64(len(sg.data)), 10)
 	return dst
+}
+
+// telKind maps an action to its telemetry index. A type switch on the
+// static kinds — actionName() formats per-timer labels and allocates,
+// which the hot path cannot afford.
+//
+//foxvet:hotpath
+func telKind(a action) telemetry.ActKind {
+	switch a.(type) {
+	case actProcessData:
+		return telemetry.ActProcessData
+	case actSendSegment:
+		return telemetry.ActSendSegment
+	case actUserData:
+		return telemetry.ActUserData
+	case actUserError:
+		return telemetry.ActUserError
+	case actSetTimer:
+		return telemetry.ActSetTimer
+	case actClearTimer:
+		return telemetry.ActClearTimer
+	case actTimerExpired:
+		return telemetry.ActTimerExpired
+	case actMaybeSend:
+		return telemetry.ActMaybeSend
+	case actCompleteOpen:
+		return telemetry.ActCompleteOpen
+	case actCompleteClose:
+		return telemetry.ActCompleteClose
+	case actPeerClosed:
+		return telemetry.ActPeerClosed
+	default:
+		return telemetry.ActDeleteTCB
+	}
+}
+
+// telOpen claims a series ring for a fresh connection. Called from
+// newConn; a nil ring (slots exhausted) just disables sampling for this
+// connection, histograms and the profile still record.
+func (c *Conn) telOpen(tl *telemetry.Telemetry) {
+	c.telSeries = tl.OpenSeries(c.name)
+}
+
+// telSample appends one Point to the connection's ring when the pacing
+// says one is due.
+//
+//foxvet:hotpath
+func (c *Conn) telSample(tl *telemetry.Telemetry, now int64) {
+	sr := c.telSeries
+	if sr == nil || !sr.Due(now, tl.SampleEveryNS()) {
+		return
+	}
+	tcb := c.tcb
+	p := telemetry.Point{
+		At:       now,
+		Cwnd:     int64(tcb.cwnd),
+		Ssthresh: int64(tcb.ssthresh),
+		SRTT:     int64(tcb.srtt),
+		RTTVar:   int64(tcb.rttvar),
+		RTO:      int64(tcb.rto),
+		Flight:   int64(tcb.flightSize()),
+		SndWnd:   int64(tcb.sndWnd),
+		RcvWnd:   int64(tcb.rcvWnd),
+		OOOBytes: int64(tcb.oooBytes),
+		MemUsed:  int64(c.t.mem.used),
+	}
+	sr.Append(&p)
+}
+
+// telRTT feeds one admitted round-trip measurement to the RTT
+// histogram. Called from the estimator in resend.go.
+//
+//foxvet:hotpath
+func (c *Conn) telRTT(m sim.Duration) {
+	if tl := c.t.cfg.Telemetry; tl != nil {
+		tl.RTT.Observe(uint64(m))
+	}
+}
+
+// telUser observes one completed user operation (Read/Write) against
+// the given histogram: the full blocking span, flow-control stalls
+// included.
+//
+//foxvet:hotpath
+func (c *Conn) telUser(h *telemetry.Hist, start sim.Time) {
+	h.Observe(uint64(c.t.s.Now() - start))
 }

@@ -227,11 +227,12 @@ func ReplayJournal(recs []flight.Record) (*ReplayResult, error) {
 				div(i, rec.EqSeq, rec.Conn, "beg on a connection the journal never opened")
 				continue
 			}
-			a, ok := rcn.c.tcb.toDo.Dequeue()
+			e, ok := rcn.c.tcb.toDo.Dequeue()
 			if !ok {
 				div(i, rec.EqSeq, rec.Conn, "journal performs action #%d but the replayed to_do queue is empty", rec.EqSeq)
 				continue
 			}
+			a := e.a
 			if rcn.expHead >= len(rcn.exp) {
 				div(i, rec.EqSeq, rec.Conn, "journal performs action #%d with no recorded enqueue", rec.EqSeq)
 				continue

@@ -2,7 +2,6 @@ package tcp
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -92,7 +91,6 @@ func (c *Conn) rttSample(m sim.Duration) {
 	if tcb.rto > c.t.cfg.MaxRTO {
 		tcb.rto = c.t.cfg.MaxRTO
 	}
-	c.t.cfg.Metrics.RttUsec.Observe(uint64(tcb.srtt / time.Microsecond))
 	c.telRTT(m)
 }
 

@@ -72,6 +72,16 @@ type sendItem struct {
 	data []byte
 }
 
+// toDoEntry is one element of the to_do queue: the action, plus the
+// stamps the observers (observe.go) take as it enters — its flight
+// journal seq and its enqueue virtual time — so the drain reads them
+// back from the entry itself. Both stay zero on an unobserved endpoint.
+type toDoEntry struct {
+	a     action
+	seq   uint64
+	enqAt int64
+}
+
 // TCB is the Transmission Control Block (Fig. 6): every variable RFC 793
 // names, the send and receive queues, and — the paper's central design
 // element — the to_do queue holding "the actions that must be done on
@@ -112,7 +122,7 @@ type TCB struct {
 	oooBytes   int
 
 	// to_do contains the actions to perform.
-	toDo basis.FIFO[action]
+	toDo basis.FIFO[toDoEntry]
 
 	// Round-trip timing (Resend module; Karn & Jacobson).
 	srtt    sim.Duration

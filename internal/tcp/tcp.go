@@ -142,16 +142,17 @@ type Config struct {
 	Harden *stats.HardenMIB
 	// Flight, when non-nil, journals every enqueued action with its
 	// cause and a per-drain TCB delta (internal/flight); cmd/foxreplay
-	// re-executes and audits the journal. Nil costs one nil check at
-	// each hook. Ignored under DirectDispatch — with the to_do queue
-	// bypassed there is no door to journal.
+	// re-executes and audits the journal. Its door hooks live in
+	// observe.go with telemetry's: with both planes nil, each enqueue
+	// and each drain tests one flag. Ignored under DirectDispatch —
+	// with the to_do queue bypassed there is no door to journal.
 	Flight *flight.Recorder
 	// Telemetry, when non-nil, records hot-path latency histograms
 	// (segment RTT, enqueue→perform at the single door, user Read/Write
 	// completion), per-connection time-series rings, and the per-action
 	// executor profile (internal/telemetry); foxstat -serve exports it
-	// live. Pure observation with the flight recorder's discipline:
-	// nil costs one check per hook, and virtual results are
+	// live. Pure observation with the flight recorder's discipline,
+	// through the same observe.go door hooks: virtual results are
 	// bit-identical either way. Ignored under DirectDispatch — the
 	// door whose latency it measures does not exist there.
 	Telemetry *telemetry.Telemetry
@@ -259,7 +260,10 @@ var (
 	ErrNotEstab        = errors.New("tcp: connection not established")
 )
 
-// Stats counts endpoint-wide TCP activity.
+// Stats counts endpoint-wide TCP activity. SegsSent, SegsReceived and
+// RSTSent are read from the endpoint's RFC 2012 counter group
+// (Config.Metrics), which is their one home; the rest are the
+// endpoint's own counts.
 type Stats struct {
 	SegsSent      uint64
 	SegsReceived  uint64
@@ -345,8 +349,12 @@ type TCP struct {
 	// replay marks an endpoint reconstructed by ReplayJournal: timers
 	// install inert placeholders (expirations come from the journal).
 	replay bool
+	// observed is set when a flight recorder or telemetry plane is
+	// attached: the one flag the executor's door tests before calling
+	// the observer hooks (observe.go).
+	observed bool
 	// recArgs/recDelta are the flight recorder's reused encode scratch
-	// (record.go); struct fields so the enabled path stays
+	// (observe.go); struct fields so the enabled path stays
 	// allocation-free in steady state.
 	recArgs  []byte
 	recDelta []byte
@@ -364,6 +372,7 @@ func New(s *sim.Scheduler, net protocol.Network, cfg Config) *TCP {
 		conns:     make(map[connKey]*Conn),
 		listeners: make(map[uint16]*Listener),
 		ephemeral: 49151,
+		observed:  cfg.Flight != nil || cfg.Telemetry != nil,
 	}
 	t.mem.limit = cfg.MemoryLimit
 	t.mem.pressureAt = cfg.MemoryLimit - cfg.MemoryLimit/4
@@ -379,7 +388,14 @@ func (t *TCP) Name() string { return "tcp" }
 func (t *TCP) MTU() int { return t.net.MTU() - headerLen }
 
 // Stats returns a snapshot of the endpoint counters.
-func (t *TCP) Stats() Stats { return t.stats }
+func (t *TCP) Stats() Stats {
+	st := t.stats
+	m := t.cfg.Metrics
+	st.SegsSent = m.OutSegs.Load() + m.RetransSegs.Load()
+	st.SegsReceived = m.InSegs.Load() - m.InErrs.Load()
+	st.RSTSent = m.OutRsts.Load()
+	return st
+}
 
 // ActiveConns reports connections currently in the demux table (all
 // states except fully deleted); leak checks use it.
@@ -443,7 +459,6 @@ func (t *TCP) handler(src protocol.Address, pkt *basis.Packet) {
 		}
 		return
 	}
-	t.stats.SegsReceived++
 	if t.cfg.Trace.On() {
 		t.cfg.Trace.Printf("rx %v %s", src, sg)
 	}
@@ -508,7 +523,6 @@ func (t *TCP) dispatchUnknown(key connKey, sg *segment) *Conn {
 		rst.seq = 0
 		rst.ack = sg.seq + seq(sg.seqLen())
 	}
-	t.stats.RSTSent++
 	t.emitRaw(key.raddr, rst)
 	return nil
 }
@@ -522,7 +536,6 @@ func (t *TCP) emitRaw(dst protocol.Address, sg *segment) {
 		pseudo = t.net.PseudoHeaderChecksum(dst, sg.headerBytes())
 	}
 	sg.marshal(pkt, pseudo, t.cfg.computeChecksums())
-	t.stats.SegsSent++
 	t.cfg.Metrics.OutSegs.Inc()
 	if sg.has(flagRST) {
 		t.cfg.Metrics.OutRsts.Inc()

@@ -7,8 +7,10 @@ package tcp_test
 // histograms, series, and profile actually fill up.
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/flight"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/telemetry"
@@ -16,47 +18,51 @@ import (
 )
 
 // telemetryTransfer runs one deterministic transfer (slightly lossy
-// wire, so retransmission and RTT paths execute) with the given plane
-// (nil = unobserved) and reports when it finished and what it sent.
-func telemetryTransfer(t *testing.T, tl *telemetry.Telemetry) (doneAt sim.Time, segs, rexmits uint64) {
+// wire, so retransmission and RTT paths execute) with the given
+// per-host configs (zero = unobserved) and reports when it finished and
+// what the sender sent.
+func telemetryTransfer(t *testing.T, cfgA, cfgB tcp.Config) (doneAt sim.Time, segs, rexmits uint64) {
 	t.Helper()
 	const n = 150_000
-	runPair(t, wire.Config{Loss: 0.03, Seed: 9}, tcp.Config{Telemetry: tl},
-		func(s *sim.Scheduler, a, b tcpHost) {
-			var server *tcp.Conn
-			b.TCP.Listen(80, func(c *tcp.Conn) tcp.Handler {
-				server = c
-				return tcp.Handler{} // no Data handler: the Read path
-			})
-			conn, err := a.TCP.Open(b.A, 80, tcp.Handler{})
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			finished := false
-			cond := sim.NewCond(s)
-			s.Fork("reader", func() {
-				buf := make([]byte, n)
-				if _, err := server.ReadFull(buf); err != nil {
-					t.Errorf("ReadFull: %v", err)
-				}
-				finished = true
-				cond.Signal()
-			})
-			conn.Write(make([]byte, n))
-			for !finished {
-				cond.Wait()
-			}
-			doneAt = s.Now()
-			st := a.TCP.Stats()
-			segs, rexmits = st.SegsSent, st.Retransmits
+	s := sim.New(sim.Config{})
+	s.Run(func() {
+		seg := wire.NewSegment(s, wire.Config{Loss: 0.03, Seed: 9}, nil)
+		a, b := buildRecordedPair(s, seg, cfgA, cfgB)
+		var server *tcp.Conn
+		b.TCP.Listen(80, func(c *tcp.Conn) tcp.Handler {
+			server = c
+			return tcp.Handler{} // no Data handler: the Read path
 		})
+		conn, err := a.TCP.Open(b.A, 80, tcp.Handler{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		finished := false
+		cond := sim.NewCond(s)
+		s.Fork("reader", func() {
+			buf := make([]byte, n)
+			if _, err := server.ReadFull(buf); err != nil {
+				t.Errorf("ReadFull: %v", err)
+			}
+			finished = true
+			cond.Signal()
+		})
+		conn.Write(make([]byte, n))
+		for !finished {
+			cond.Wait()
+		}
+		doneAt = s.Now()
+		st := a.TCP.Stats()
+		segs, rexmits = st.SegsSent, st.Retransmits
+	})
 	return doneAt, segs, rexmits
 }
 
 func TestTelemetryBitIdentical(t *testing.T) {
-	offAt, offSegs, offRex := telemetryTransfer(t, nil)
+	offAt, offSegs, offRex := telemetryTransfer(t, tcp.Config{}, tcp.Config{})
 	tl := telemetry.New(telemetry.Options{SampleEveryNS: 100_000})
-	onAt, onSegs, onRex := telemetryTransfer(t, tl)
+	cfg := tcp.Config{Telemetry: tl}
+	onAt, onSegs, onRex := telemetryTransfer(t, cfg, cfg)
 
 	if onAt != offAt || onSegs != offSegs || onRex != offRex {
 		t.Fatalf("telemetered run diverged: off (t=%d segs=%d rex=%d) vs on (t=%d segs=%d rex=%d)",
@@ -113,6 +119,45 @@ func TestTelemetryBitIdentical(t *testing.T) {
 	}
 	if !sawCwnd {
 		t.Error("no sampled point carries cwnd and RTO")
+	}
+}
+
+// TestTelemetryWithFlight attaches both observer planes to the same
+// transfer. They share one stamp per to_do entry (observe.go), so this
+// is the case that proves the shared stamp serves both: the run stays
+// bit-identical to the unobserved one, both journals replay without a
+// divergence, and telemetry saw exactly the drains the journals record.
+func TestTelemetryWithFlight(t *testing.T) {
+	offAt, offSegs, offRex := telemetryTransfer(t, tcp.Config{}, tcp.Config{})
+	tl := telemetry.New(telemetry.Options{SampleEveryNS: 100_000})
+	ja, jb := &bytes.Buffer{}, &bytes.Buffer{}
+	onAt, onSegs, onRex := telemetryTransfer(t,
+		tcp.Config{Telemetry: tl, Flight: flight.NewRecorder(ja)},
+		tcp.Config{Telemetry: tl, Flight: flight.NewRecorder(jb)})
+
+	if onAt != offAt || onSegs != offSegs || onRex != offRex {
+		t.Fatalf("observed run diverged: off (t=%d segs=%d rex=%d) vs on (t=%d segs=%d rex=%d)",
+			offAt, offSegs, offRex, onAt, onSegs, onRex)
+	}
+	var begs uint64
+	for i, j := range []*bytes.Buffer{ja, jb} {
+		side := [...]string{"client", "server"}[i]
+		recs, err := flight.ReadAll(bytes.NewReader(j.Bytes()))
+		if err != nil {
+			t.Fatalf("%s journal: %v", side, err)
+		}
+		for _, r := range recs {
+			if r.Kind == flight.KindBeg {
+				begs++
+			}
+		}
+		replaySide(t, side, j)
+	}
+	if begs == 0 {
+		t.Fatal("journals record no drained actions")
+	}
+	if got := tl.Action.Count(); got != begs {
+		t.Fatalf("telemetry observed %d drains, journals record %d beg records", got, begs)
 	}
 }
 
