@@ -243,7 +243,7 @@ func BenchmarkTimer(b *testing.B) {
 				t := timers.Start(s, func() {}, time.Hour)
 				t.Clear()
 				if i%1024 == 0 {
-					s.Sleep(2 * time.Hour) // drain cleared timer threads
+					s.Sleep(2 * time.Hour) // expire the cleared entries so the sleep heap stays small
 				}
 			}
 		})

@@ -155,3 +155,37 @@ func TestCondWaitersCount(t *testing.T) {
 		s.Yield()
 	})
 }
+
+// The shutdown list drops dead threads, so 100k fork/exit cycles leave it
+// proportional to the live threads, and shutdown still kills the
+// survivors in fork order.
+func TestThreadListBoundedByLiveThreads(t *testing.T) {
+	s := New(Config{})
+	var killed []int
+	s.Run(func() {
+		for i := 0; i < 100000; i++ {
+			if i%10000 == 0 {
+				i := i
+				s.Fork("resident", func() {
+					defer func() { killed = append(killed, i) }()
+					for {
+						s.Sleep(time.Hour)
+					}
+				})
+			}
+			s.Fork("transient", func() {})
+			s.Yield()
+			if c := cap(s.threads); c > 4*s.live {
+				t.Fatalf("after %d cycles: %d slots for %d live threads", i+1, c, s.live)
+			}
+		}
+	})
+	for j, i := range killed {
+		if i != j*10000 {
+			t.Fatalf("kill order %v, want fork order", killed)
+		}
+	}
+	if len(killed) != 10 {
+		t.Fatalf("killed %d residents, want 10", len(killed))
+	}
+}

@@ -6,10 +6,17 @@
 // thread switch costs only a few function calls and, because the scheduler
 // is non-preemptive, "data structure locks are therefore not necessary".
 // This package reproduces those semantics on top of goroutines: every
-// thread is a goroutine, but a channel-handoff protocol guarantees that
-// exactly one of them executes at any moment and that control moves only
-// at explicit scheduler calls (Fork, Yield, Sleep, condition waits). No
-// code in this repository takes a lock.
+// running thread is a goroutine, but a channel-handoff protocol guarantees
+// that exactly one of them executes at any moment and that control moves
+// only at explicit scheduler calls (Fork, Yield, Sleep, condition waits).
+// No code in this repository takes a lock.
+//
+// The one exception is the Fig. 11 timer thread (ForkTimer), whose whole
+// life before its handler is "sleep, then test a flag". It is a plain
+// ready-queue and sleep-heap entry: the scheduler plays its Sleep and its
+// flag test itself, at the points the thread would have run them, and
+// gives it a goroutine only when the handler is about to run. A timer that
+// is cleared first — nearly all of them — never costs a goroutine.
 //
 // Time is virtual. The clock advances when a thread sleeps past the last
 // runnable instant, when a caller charges an explicit cost (Charge), and —
@@ -23,6 +30,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -78,6 +86,13 @@ type Thread struct {
 	startReal time.Time // when this thread last received the CPU
 	factor    float64   // per-thread CPU charge multiplier (inherited)
 	killed    bool      // set by shutdown before the kill resume
+
+	// A timer entry (ForkTimer) has a nil resume channel until its
+	// handler runs; slept records that its Sleep(delay) has been played.
+	slept   bool
+	delay   Duration
+	cleared *bool
+	handler func()
 }
 
 // Name returns the thread's diagnostic name.
@@ -134,7 +149,7 @@ type Scheduler struct {
 	live     int // threads not dead (including current)
 	blocked  int
 	sleeping int
-	threads  []*Thread // every forked thread, for serialized shutdown
+	threads  []*Thread // forked threads in fork order, for serialized shutdown; see track
 	main     *Thread
 	unwound  chan struct{}
 	stopped  bool
@@ -142,7 +157,7 @@ type Scheduler struct {
 
 	switches   uint64 // context-switch count, for the E-sched experiment
 	forks      uint64
-	timerFires uint64 // expired (uncleared) timers, noted by the timers layer
+	timerFires uint64 // timer entries whose handler ran
 	readyHW    int    // run-queue length high-water mark
 
 	// unwinding tracks forked goroutines so shutdown can wait for every
@@ -213,11 +228,6 @@ func (s *Scheduler) Switches() uint64 { return s.switches }
 
 // Forks reports how many threads have been created.
 func (s *Scheduler) Forks() uint64 { return s.forks }
-
-// NoteTimerFire records one timer expiration whose handler actually ran.
-// The timers layer calls it; the scheduler itself has no timer concept
-// beyond Sleep.
-func (s *Scheduler) NoteTimerFire() { s.timerFires++ }
 
 // TimerFires reports how many timer handlers have run.
 func (s *Scheduler) TimerFires() uint64 { return s.timerFires }
@@ -311,19 +321,58 @@ func (s *Scheduler) Fork(name string, fn func()) *Thread {
 // ForkPrio creates a thread with an explicit priority; lower values run
 // first when the scheduler was configured with Priority.
 func (s *Scheduler) ForkPrio(name string, prio int, fn func()) *Thread {
+	t := s.newThread(name, prio)
+	s.spawn(t, fn)
+	s.pushReady(t)
+	return t
+}
+
+// ForkTimer forks the paper's Fig. 11 timer thread,
+//
+//	Fork(func() { Sleep(d); if !*cleared { handler() } })
+//
+// as a scheduler entry with no goroutine. next plays the thread's Sleep
+// when the entry is first dispatched and its cleared test when the woken
+// entry reaches the head of the ready queue — the same instants, with the
+// same seqs, Forks, Switches and ForkCost/SwitchCost charges as the
+// thread — and spawns a goroutine only to run handler.
+func (s *Scheduler) ForkTimer(d Duration, cleared *bool, handler func()) {
+	t := s.newThread("timer", 0)
+	t.delay, t.cleared, t.handler = d, cleared, handler
+	s.pushReady(t)
+}
+
+// newThread counts and records a fork; the caller queues the thread.
+func (s *Scheduler) newThread(name string, prio int) *Thread {
 	s.ensureRunnable("Fork")
-	t := &Thread{name: name, prio: prio, resume: make(chan struct{}, 1), sched: s, state: stateReady, seq: s.nextSeq()}
+	t := &Thread{name: name, prio: prio, sched: s, state: stateReady, seq: s.nextSeq()}
 	if s.current != nil {
 		t.factor = s.current.factor
 	}
 	s.live++
 	s.forks++
 	s.Charge(s.cfg.ForkCost)
+	s.track(t)
+	return t
+}
+
+// track appends t to the shutdown list. When the list is full its dead
+// entries are dropped first, in place and in fork order, so the list is
+// proportional to the live threads rather than to every thread the run
+// ever forked; growing to twice the survivors keeps that amortized O(1).
+func (s *Scheduler) track(t *Thread) {
+	if len(s.threads) == cap(s.threads) {
+		s.threads = slices.DeleteFunc(s.threads, func(u *Thread) bool { return u.state == stateDead })
+		s.threads = slices.Grow(s.threads, len(s.threads))
+	}
 	s.threads = append(s.threads, t)
+}
+
+// spawn gives t its goroutine, parked until t is first dispatched.
+func (s *Scheduler) spawn(t *Thread, fn func()) {
+	t.resume = make(chan struct{}, 1)
 	s.unwinding.Add(1)
 	go s.threadBody(t, fn)
-	s.pushReady(t)
-	return t
 }
 
 // threadBody is the goroutine wrapper for a forked thread: it parks until
@@ -385,10 +434,15 @@ func (s *Scheduler) Sleep(d Duration) {
 	}
 	cur := s.current
 	s.syncClock()
-	cur.state = stateSleeping
-	s.sleeping++
-	s.sleepers.Push(sleeper{wake: s.now + Time(d), seq: s.nextSeq(), t: cur})
+	s.sleep(cur, d)
 	s.reschedule(cur)
+}
+
+// sleep moves t to the sleep heap until d from now.
+func (s *Scheduler) sleep(t *Thread, d Duration) {
+	t.state = stateSleeping
+	s.sleeping++
+	s.sleepers.Push(sleeper{wake: s.now + Time(d), seq: s.nextSeq(), t: t})
 }
 
 // block suspends the current thread until some other thread unblocks it.
@@ -424,14 +478,12 @@ func (s *Scheduler) exit(t *Thread) {
 // reschedule hands the CPU from cur (already re-queued, asleep, or
 // blocked) to the next runnable thread, then parks cur until its turn.
 func (s *Scheduler) reschedule(cur *Thread) {
-	next := s.next()
-	s.switches++
-	s.Charge(s.cfg.SwitchCost)
+	next := s.next(true)
+	s.current = next
 	if next == cur {
 		cur.state = stateRunning
 		return
 	}
-	s.current = next
 	next.resume <- struct{}{}
 	cur.park()
 }
@@ -453,15 +505,53 @@ func (s *Scheduler) dispatchNextOrFinish(t *Thread) {
 		}
 		return
 	}
-	next := s.next()
-	s.switches++
+	next := s.next(false)
 	s.current = next
 	next.resume <- struct{}{}
 }
 
-// next picks the next thread to run, advancing the virtual clock over idle
-// gaps. It panics with a thread dump on total deadlock.
-func (s *Scheduler) next() *Thread {
+// next picks the next thread to run and counts the switch to it, charging
+// SwitchCost if charge is set: a thread giving up the CPU pays it, a dying
+// one does not. A timer entry (ForkTimer) dispatched here runs in place,
+// as its thread would have: its first turn is Sleep(delay), then it
+// reschedules; its second turn is the cleared test, after which it exits
+// or, if not cleared, gets the goroutine that runs its handler.
+func (s *Scheduler) next(charge bool) *Thread {
+	for {
+		t := s.popNext()
+		s.switches++
+		if charge {
+			s.Charge(s.cfg.SwitchCost)
+		}
+		if t.resume != nil {
+			return t
+		}
+		s.current = t // as the timer thread would be, for deadlockReport
+		switch {
+		case !t.slept:
+			t.slept = true
+			if t.delay <= 0 { // Sleep yields
+				s.pushReady(t)
+			} else {
+				s.sleep(t, t.delay)
+			}
+			charge = true
+		case *t.cleared:
+			t.state = stateDead
+			s.live--
+			t.handler = nil
+			charge = false
+		default:
+			s.timerFires++
+			s.spawn(t, t.handler)
+			return t
+		}
+	}
+}
+
+// popNext dequeues the next ready thread, advancing the virtual clock over
+// idle gaps. It panics with a thread dump on total deadlock.
+func (s *Scheduler) popNext() *Thread {
 	for {
 		if t, ok := s.popReady(); ok {
 			return t
@@ -536,8 +626,8 @@ func (s *Scheduler) shutdown() {
 	s.stopped = true
 	s.current = nil
 	for _, t := range s.threads {
-		if t.state == stateDead {
-			continue
+		if t.state == stateDead || t.resume == nil {
+			continue // a timer entry has no goroutine to unwind
 		}
 		t.killed = true
 		t.resume <- struct{}{}

@@ -1,22 +1,30 @@
 // Package timers reproduces the paper's Figure 11: the entire timer
 // facility — start, clear, expiration — built from nothing but the
 // scheduler's fork and sleep plus one heap-allocated boolean of shared
-// state captured in a closure. The paper singles this out as evidence that
-// higher-order functions plus fast thread creation make traditionally slow
-// timer code "simple and fast".
+// state. The paper singles this out as evidence that higher-order
+// functions plus fast thread creation make traditionally slow timer code
+// "simple and fast".
+//
+// The semantics are Fig. 11's exactly: a started timer is a forked thread
+// that sleeps and then runs its handler unless the boolean was set. Only
+// the cost differs. SML/NJ forked a thread by capturing a continuation; a
+// goroutine is far heavier, and nearly every timer is cleared before it
+// expires. So the thread is sim.ForkTimer's scheduler entry, which the
+// scheduler sleeps and tests in place: a goroutine appears only when a
+// timer fires and its handler runs.
 package timers
 
 import "repro/internal/sim"
 
 // Timer is the updatable cell returned by Start; Clear sets it, and the
-// forked thread checks it after sleeping.
+// timer thread checks it after sleeping.
 type Timer struct {
 	cleared bool
 }
 
 // Start forks a thread that sleeps for d of virtual time and then invokes
 // handler — unless the returned timer was cleared in the meantime. This is
-// a direct transliteration of the paper's `start`:
+// the paper's `start`:
 //
 //	fun start (handler, ms) =
 //	  let val cleared = ref false
@@ -25,19 +33,13 @@ type Timer struct {
 //	  in Scheduler.fork (Scheduler.Normal sleep); cleared end
 func Start(s *sim.Scheduler, handler func(), d sim.Duration) *Timer {
 	t := &Timer{}
-	s.Fork("timer", func() {
-		s.Sleep(d)
-		if !t.cleared {
-			s.NoteTimerFire()
-			handler()
-		}
-	})
+	s.ForkTimer(d, &t.cleared, handler)
 	return t
 }
 
 // Clear prevents the handler from running if it has not run yet. Clearing
-// an expired or already-cleared timer is a no-op; the thread, if still
-// sleeping, wakes, observes the flag, and exits silently.
+// an expired or already-cleared timer is a no-op; the timer, if still
+// sleeping, wakes, observes the flag, and ends silently.
 func (t *Timer) Clear() {
 	if t != nil {
 		t.cleared = true

@@ -1,6 +1,7 @@
 package timers
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -106,4 +107,58 @@ func TestClearedReflectsState(t *testing.T) {
 		}
 		s.Sleep(2 * time.Millisecond)
 	})
+}
+
+// maxStartClearAllocs is the measured cost of a Start+Clear pair: the
+// Timer cell and the scheduler entry, with no closure, channel or
+// goroutine.
+const maxStartClearAllocs = 2
+
+func TestStartClearAllocs(t *testing.T) {
+	s := sim.New(sim.Config{})
+	handler := func() {}
+	var allocs float64
+	s.Run(func() {
+		allocs = testing.AllocsPerRun(1000, func() { Start(s, handler, time.Hour).Clear() })
+	})
+	if allocs > maxStartClearAllocs {
+		t.Fatalf("Start+Clear allocates %v times, want at most %d", allocs, maxStartClearAllocs)
+	}
+}
+
+// A started timer is a scheduler entry: neither starting nor clearing one
+// creates a goroutine, and nor does the cleared timer's expiry.
+func TestStartClearCreatesNoGoroutine(t *testing.T) {
+	s := sim.New(sim.Config{})
+	before := runtime.NumGoroutine()
+	s.Run(func() {
+		for i := 0; i < 10000; i++ {
+			Start(s, func() { t.Error("cleared timer fired") }, time.Millisecond).Clear()
+		}
+		if n := runtime.NumGoroutine(); n != before {
+			t.Errorf("10k Start/Clear pairs: %d goroutines, want %d", n, before)
+		}
+		s.Sleep(time.Second)
+		if n := runtime.NumGoroutine(); n != before {
+			t.Errorf("after the cleared timers expired: %d goroutines, want %d", n, before)
+		}
+	})
+}
+
+func TestRunReturnsWithPendingTimers(t *testing.T) {
+	s := sim.New(sim.Config{})
+	before := runtime.NumGoroutine()
+	fired := 0
+	s.Run(func() {
+		for i := 0; i < 10000; i++ {
+			Start(s, func() { fired++ }, time.Hour)
+		}
+		s.Sleep(time.Second)
+	})
+	if fired != 0 {
+		t.Fatalf("%d timers fired before their deadline", fired)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("Run left %d goroutines, want %d", n, before)
+	}
 }
