@@ -228,6 +228,30 @@ func BenchmarkScheduler(b *testing.B) {
 			}
 		})
 	})
+	// YieldPair switches between main and a thread, one coroutine switch
+	// each; a switch between two forked threads passes through main, two
+	// coroutine switches each. Main waits here while the pair ping-pongs.
+	b.Run("YieldPairThreads", func(b *testing.B) {
+		s := sim.New(sim.Config{})
+		s.Run(func() {
+			done := false
+			finished := sim.NewCond(s)
+			s.Fork("ping", func() {
+				for i := 0; i < b.N; i++ {
+					s.Yield() // ping -> pong -> ping: two switches
+				}
+				done = true
+				finished.Signal()
+			})
+			s.Fork("pong", func() {
+				for !done {
+					s.Yield()
+				}
+			})
+			b.ResetTimer()
+			finished.Wait()
+		})
+	})
 }
 
 // --- E-timer: Fig. 11 ------------------------------------------------------

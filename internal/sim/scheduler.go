@@ -5,18 +5,22 @@
 // The paper implements its scheduler "entirely in SML using continuations";
 // thread switch costs only a few function calls and, because the scheduler
 // is non-preemptive, "data structure locks are therefore not necessary".
-// This package reproduces those semantics on top of goroutines: every
-// running thread is a goroutine, but a channel-handoff protocol guarantees
-// that exactly one of them executes at any moment and that control moves
-// only at explicit scheduler calls (Fork, Yield, Sleep, condition waits).
-// No code in this repository takes a lock.
+// This package reproduces those semantics with the Go runtime's
+// coroutines (iter.Pull): every forked thread is a coroutine, and Run's own
+// goroutine, the main thread, is the trampoline that resumes whichever
+// thread is current until the CPU comes back to main. A thread gives up
+// the CPU by yielding to main, so a switch costs one or two direct
+// coroutine switches and never passes through the Go run queue. Exactly
+// one thread executes at any moment, and control moves only at explicit
+// scheduler calls (Fork, Yield, Sleep, condition waits). No code in this
+// repository takes a lock.
 //
 // The one exception is the Fig. 11 timer thread (ForkTimer), whose whole
 // life before its handler is "sleep, then test a flag". It is a plain
 // ready-queue and sleep-heap entry: the scheduler plays its Sleep and its
 // flag test itself, at the points the thread would have run them, and
-// gives it a goroutine only when the handler is about to run. A timer that
-// is cleared first — nearly all of them — never costs a goroutine.
+// gives it a coroutine only when the handler is about to run. A timer that
+// is cleared first — nearly all of them — never costs a coroutine.
 //
 // Time is virtual. The clock advances when a thread sleeps past the last
 // runnable instant, when a caller charges an explicit cost (Charge), and —
@@ -32,7 +36,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/basis"
@@ -81,18 +84,31 @@ type Thread struct {
 	prio      int
 	seq       uint64
 	state     threadState
-	resume    chan struct{}
 	sched     *Scheduler
-	startReal time.Time // when this thread last received the CPU
+	startReal time.Time // when this thread last received the CPU, if charging
 	factor    float64   // per-thread CPU charge multiplier (inherited)
 	killed    bool      // set by shutdown before the kill resume
 
-	// A timer entry (ForkTimer) has a nil resume channel until its
-	// handler runs; slept records that its Sleep(delay) has been played.
-	slept   bool
-	delay   Duration
-	cleared *bool
-	handler func()
+	// resume runs the thread's coroutine until it yields or ends; only
+	// main calls it. yield, called on the coroutine, returns to main.
+	// Main itself has neither.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+
+	// A timer entry (ForkTimer) holds its cell until it is cleared or its
+	// handler gets a coroutine; slept records that its Sleep(delay) has
+	// been played.
+	slept bool
+	delay Duration
+	cell  *TimerCell
+}
+
+// TimerCell is the state a Fig. 11 timer thread shares with the code that
+// started it: the cleared flag and the handler. A timer type embeds it, so
+// one allocation holds both.
+type TimerCell struct {
+	Cleared bool
+	Handler func()
 }
 
 // Name returns the thread's diagnostic name.
@@ -151,7 +167,6 @@ type Scheduler struct {
 	sleeping int
 	threads  []*Thread // forked threads in fork order, for serialized shutdown; see track
 	main     *Thread
-	unwound  chan struct{}
 	stopped  bool
 	fatal    any // panic value carried from a worker thread to Run
 
@@ -159,12 +174,6 @@ type Scheduler struct {
 	forks      uint64
 	timerFires uint64 // timer entries whose handler ran
 	readyHW    int    // run-queue length high-water mark
-
-	// unwinding tracks forked goroutines so shutdown can wait for every
-	// kill-unwind to finish before Run returns; without it, deferred
-	// user code in dying threads would run concurrently with whatever
-	// follows Run — the one place the handoff discipline wouldn't hold.
-	unwinding sync.WaitGroup
 }
 
 // New returns a scheduler with the given configuration.
@@ -180,7 +189,6 @@ func New(cfg Config) *Scheduler {
 			}
 			return a.seq < b.seq
 		}),
-		unwound: make(chan struct{}),
 	}
 	if cfg.Priority {
 		s.readyPQ = basis.NewHeap[*Thread](func(a, b *Thread) bool {
@@ -281,14 +289,14 @@ func (s *Scheduler) ChargeFactor() float64 {
 }
 
 // Run executes fn as the main thread and services all forked threads until
-// fn returns. Any still-live threads are then killed (their goroutines
+// fn returns. Any still-live threads are then killed (their coroutines
 // unwound), so Run leaks nothing. If any thread panics, Run re-panics with
 // that value after shutting the scheduler down.
 func (s *Scheduler) Run(fn func()) {
 	if s.current != nil || s.stopped {
 		panic("sim: Run called twice or on a stopped scheduler")
 	}
-	main := &Thread{name: "main", resume: make(chan struct{}, 1), sched: s, state: stateRunning, seq: s.nextSeq()}
+	main := &Thread{name: "main", sched: s, state: stateRunning, seq: s.nextSeq()}
 	s.current = main
 	s.main = main
 	s.live = 1
@@ -331,14 +339,17 @@ func (s *Scheduler) ForkPrio(name string, prio int, fn func()) *Thread {
 //
 //	Fork(func() { Sleep(d); if !*cleared { handler() } })
 //
-// as a scheduler entry with no goroutine. next plays the thread's Sleep
-// when the entry is first dispatched and its cleared test when the woken
-// entry reaches the head of the ready queue — the same instants, with the
-// same seqs, Forks, Switches and ForkCost/SwitchCost charges as the
-// thread — and spawns a goroutine only to run handler.
-func (s *Scheduler) ForkTimer(d Duration, cleared *bool, handler func()) {
+// with cleared and handler read from c, as a scheduler entry with no
+// coroutine. next plays the thread's Sleep when the entry is first
+// dispatched and its cleared test when the woken entry reaches the head of
+// the ready queue — the same instants, with the same seqs, Forks, Switches
+// and ForkCost/SwitchCost charges as the thread — and spawns a coroutine
+// only to run c.Handler. Whoever clears the timer should also nil
+// c.Handler, so that a cleared timer does not keep what its handler
+// captured alive until its wake time.
+func (s *Scheduler) ForkTimer(d Duration, c *TimerCell) {
 	t := s.newThread("timer", 0)
-	t.delay, t.cleared, t.handler = d, cleared, handler
+	t.delay, t.cell = d, c
 	s.pushReady(t)
 }
 
@@ -368,49 +379,56 @@ func (s *Scheduler) track(t *Thread) {
 	s.threads = append(s.threads, t)
 }
 
-// spawn gives t its goroutine, parked until t is first dispatched.
-func (s *Scheduler) spawn(t *Thread, fn func()) {
-	t.resume = make(chan struct{}, 1)
-	s.unwinding.Add(1)
-	go s.threadBody(t, fn)
-}
-
-// threadBody is the goroutine wrapper for a forked thread: it parks until
-// first dispatched, runs fn, and exits through the scheduler.
+// threadBody is the coroutine body of a forked thread: it runs fn from
+// the thread's first dispatch and exits through the scheduler.
 func (s *Scheduler) threadBody(t *Thread, fn func()) {
-	defer s.unwinding.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			if _, killed := r.(killedError); killed {
-				t.state = stateDead
-				if t.killed {
-					// shutdown is waiting for this exact unwind to
-					// finish; nothing else runs until we signal.
-					s.unwound <- struct{}{}
-				}
+				t.state = stateDead // shutdown's resume returns now
 				return
 			}
-			// Carry the panic to Run: record it and hand the CPU onward.
-			s.fatal = r
-			t.state = stateDead
-			s.live--
-			s.dispatchNextOrFinish(t)
+			// Carry the panic to Run: record it and hand the CPU to main.
+			// A panic out of exit's dispatch (a deadlock) finds t dead.
+			if s.fatal == nil {
+				s.fatal = r
+			}
+			if t.state != stateDead {
+				t.state = stateDead
+				s.live--
+			}
+			s.dispatchNextOrFinish()
 		}
 	}()
-	t.park() // wait to be scheduled the first time
+	t.resumed()
 	fn()
 	s.exit(t)
 }
 
-// park suspends the calling goroutine until its thread is resumed. A
-// resume with the killed flag set is shutdown's order to unwind.
+// park gives up the CPU until t is current again. A forked thread yields
+// to main. Main is the trampoline: it resumes whichever thread is current
+// until the current thread is main again.
 func (t *Thread) park() {
-	<-t.resume
+	if s := t.sched; t == s.main {
+		for s.current != t {
+			s.current.resume()
+		}
+	} else {
+		t.yield(struct{}{})
+	}
+	t.resumed()
+}
+
+// resumed takes the CPU back for t. A resume with the killed flag set is
+// shutdown's order to unwind.
+func (t *Thread) resumed() {
 	if t.killed {
 		panic(errKilled)
 	}
 	t.state = stateRunning
-	t.startReal = time.Now()
+	if t.sched.cfg.ChargeCPU {
+		t.startReal = time.Now()
+	}
 }
 
 // Yield places the current thread at the tail of the ready queue and runs
@@ -472,7 +490,7 @@ func (s *Scheduler) exit(t *Thread) {
 	s.syncClock()
 	t.state = stateDead
 	s.live--
-	s.dispatchNextOrFinish(t)
+	s.dispatchNextOrFinish()
 }
 
 // reschedule hands the CPU from cur (already re-queued, asleep, or
@@ -484,30 +502,24 @@ func (s *Scheduler) reschedule(cur *Thread) {
 		cur.state = stateRunning
 		return
 	}
-	next.resume <- struct{}{}
 	cur.park()
 }
 
-// dispatchNextOrFinish is reschedule for a dying thread: it never parks.
-// If nothing remains runnable it wakes Run's main thread if possible, or
-// declares the run finished.
-func (s *Scheduler) dispatchNextOrFinish(t *Thread) {
-	if s.live == 0 {
-		return // the main thread was the last one; Run unwinds normally
-	}
-	if s.fatal != nil {
-		// Carry control back to main so Run can re-panic; the remaining
-		// threads are killed one at a time by shutdown afterwards.
+// dispatchNextOrFinish is reschedule for a dying thread: it only picks
+// the current thread, which main resumes once the dying coroutine ends.
+// After a fatal panic it makes main current instead, killed, so Run can
+// re-panic; shutdown then kills the remaining threads one at a time. While
+// shutdown is running it resumes each thread itself.
+func (s *Scheduler) dispatchNextOrFinish() {
+	switch {
+	case s.stopped:
+	case s.fatal != nil:
 		s.stopped = true
-		if s.main.state != stateRunning && s.main.state != stateDead {
-			s.main.killed = true
-			s.main.resume <- struct{}{}
-		}
-		return
+		s.main.killed = true
+		s.current = s.main
+	default:
+		s.current = s.next(false)
 	}
-	next := s.next(false)
-	s.current = next
-	next.resume <- struct{}{}
 }
 
 // next picks the next thread to run and counts the switch to it, charging
@@ -515,7 +527,7 @@ func (s *Scheduler) dispatchNextOrFinish(t *Thread) {
 // one does not. A timer entry (ForkTimer) dispatched here runs in place,
 // as its thread would have: its first turn is Sleep(delay), then it
 // reschedules; its second turn is the cleared test, after which it exits
-// or, if not cleared, gets the goroutine that runs its handler.
+// or, if not cleared, gets the coroutine that runs its handler.
 func (s *Scheduler) next(charge bool) *Thread {
 	for {
 		t := s.popNext()
@@ -523,7 +535,7 @@ func (s *Scheduler) next(charge bool) *Thread {
 		if charge {
 			s.Charge(s.cfg.SwitchCost)
 		}
-		if t.resume != nil {
+		if t.cell == nil {
 			return t
 		}
 		s.current = t // as the timer thread would be, for deadlockReport
@@ -536,14 +548,15 @@ func (s *Scheduler) next(charge bool) *Thread {
 				s.sleep(t, t.delay)
 			}
 			charge = true
-		case *t.cleared:
+		case t.cell.Cleared:
 			t.state = stateDead
 			s.live--
-			t.handler = nil
+			t.cell = nil
 			charge = false
 		default:
 			s.timerFires++
-			s.spawn(t, t.handler)
+			s.spawn(t, t.cell.Handler)
+			t.cell = nil
 			return t
 		}
 	}
@@ -618,22 +631,20 @@ func (s *Scheduler) ensureRunnable(op string) {
 }
 
 // shutdown kills every remaining thread after the main function returns,
-// one at a time — each killed goroutine finishes unwinding (deferred
-// functions included) before the next is woken, preserving the
-// one-thread-at-a-time discipline even while dying — so Run returns only
-// once nothing of the simulation is still executing.
+// one at a time: each resume returns once the killed coroutine has
+// finished unwinding (deferred functions included), so the
+// one-thread-at-a-time discipline holds even while dying and Run returns
+// only once nothing of the simulation is still executing.
 func (s *Scheduler) shutdown() {
 	s.stopped = true
 	s.current = nil
 	for _, t := range s.threads {
 		if t.state == stateDead || t.resume == nil {
-			continue // a timer entry has no goroutine to unwind
+			continue // a timer entry has no coroutine to unwind
 		}
 		t.killed = true
-		t.resume <- struct{}{}
-		<-s.unwound
+		t.resume()
 	}
-	s.unwinding.Wait()
 }
 
 func (s *Scheduler) deadlockReport() string {

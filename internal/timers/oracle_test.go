@@ -17,7 +17,7 @@ func refStart(s *sim.Scheduler, handler func(), d sim.Duration, fires *uint64) *
 	t := &Timer{}
 	s.Fork("timer", func() {
 		s.Sleep(d)
-		if !t.cleared {
+		if !t.TimerCell.Cleared {
 			*fires++
 			handler()
 		}

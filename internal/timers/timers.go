@@ -10,16 +10,17 @@
 // the cost differs. SML/NJ forked a thread by capturing a continuation; a
 // goroutine is far heavier, and nearly every timer is cleared before it
 // expires. So the thread is sim.ForkTimer's scheduler entry, which the
-// scheduler sleeps and tests in place: a goroutine appears only when a
+// scheduler sleeps and tests in place: a coroutine appears only when a
 // timer fires and its handler runs.
 package timers
 
 import "repro/internal/sim"
 
 // Timer is the updatable cell returned by Start; Clear sets it, and the
-// timer thread checks it after sleeping.
+// timer thread checks it after sleeping. The embedded cell also holds the
+// handler, which Clear drops.
 type Timer struct {
-	cleared bool
+	sim.TimerCell
 }
 
 // Start forks a thread that sleeps for d of virtual time and then invokes
@@ -32,19 +33,21 @@ type Timer struct {
 //	                      if !cleared then () else handler ())
 //	  in Scheduler.fork (Scheduler.Normal sleep); cleared end
 func Start(s *sim.Scheduler, handler func(), d sim.Duration) *Timer {
-	t := &Timer{}
-	s.ForkTimer(d, &t.cleared, handler)
+	t := &Timer{sim.TimerCell{Handler: handler}}
+	s.ForkTimer(d, &t.TimerCell)
 	return t
 }
 
 // Clear prevents the handler from running if it has not run yet. Clearing
 // an expired or already-cleared timer is a no-op; the timer, if still
-// sleeping, wakes, observes the flag, and ends silently.
+// sleeping, wakes, observes the flag, and ends silently. The handler is
+// released at once, so what it captured (a connection, say) is not kept
+// alive until the wake time.
 func (t *Timer) Clear() {
 	if t != nil {
-		t.cleared = true
+		t.TimerCell = sim.TimerCell{Cleared: true}
 	}
 }
 
 // Cleared reports whether Clear was called.
-func (t *Timer) Cleared() bool { return t != nil && t.cleared }
+func (t *Timer) Cleared() bool { return t != nil && t.TimerCell.Cleared }

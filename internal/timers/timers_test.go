@@ -126,11 +126,30 @@ func TestStartClearAllocs(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns runtime.NumGoroutine once it has read the
+// same for a run of samples, waiting at most two seconds of wall time.
+// Goroutines an earlier test started (subtest runners, say) may still be
+// exiting when the next test begins; counted into a baseline, they make an
+// exact goroutine comparison fail for reasons outside the test.
+func settledGoroutines() int {
+	const stableSamples = 20
+	n, same := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(2 * time.Second); same < stableSamples && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
 // A started timer is a scheduler entry: neither starting nor clearing one
 // creates a goroutine, and nor does the cleared timer's expiry.
 func TestStartClearCreatesNoGoroutine(t *testing.T) {
 	s := sim.New(sim.Config{})
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	s.Run(func() {
 		for i := 0; i < 10000; i++ {
 			Start(s, func() { t.Error("cleared timer fired") }, time.Millisecond).Clear()
@@ -147,7 +166,7 @@ func TestStartClearCreatesNoGoroutine(t *testing.T) {
 
 func TestRunReturnsWithPendingTimers(t *testing.T) {
 	s := sim.New(sim.Config{})
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	fired := 0
 	s.Run(func() {
 		for i := 0; i < 10000; i++ {
@@ -161,4 +180,28 @@ func TestRunReturnsWithPendingTimers(t *testing.T) {
 	if n := runtime.NumGoroutine(); n != before {
 		t.Fatalf("Run left %d goroutines, want %d", n, before)
 	}
+}
+
+// A cleared timer drops its handler at Clear, not at its wake time, so a
+// pending entry does not keep what the handler captured alive: TCP's 30 s
+// user timeout and 2MSL TIME-WAIT timers capture their connection.
+func TestClearReleasesHandler(t *testing.T) {
+	const n, bufSize = 10000, 1 << 10
+	s := sim.New(sim.Config{})
+	var ms runtime.MemStats
+	s.Run(func() {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		for i := 0; i < n; i++ {
+			buf := make([]byte, bufSize)
+			Start(s, func() { buf[0]++ }, time.Hour).Clear()
+		}
+		s.Yield() // every entry is now asleep in the sleep heap
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		if held := int64(ms.HeapAlloc) - int64(before); held > n*bufSize/2 {
+			t.Errorf("%d cleared timers hold %d heap bytes; their %d B handler buffers were not released", n, held, n*bufSize)
+		}
+	})
 }
